@@ -50,7 +50,6 @@ from .multipliers import (
     BundleParam,
     MultiplierStructure,
     StructureKind,
-    structure_kind,
 )
 from .polynomials import Polynomial, VectorField
 from .rationals import GaussianRational, as_gaussian
@@ -61,9 +60,7 @@ from .sections import (
     dim_h0,
     predicate_existence,
     solution_count_formula,
-    solve_nminus1form_sections,
-    solve_oneform_sections,
-    solve_tangent_sections,
+    solve_sections,
 )
 
 __version__ = "0.1.0"
@@ -116,10 +113,7 @@ __all__ = [
     "radial_field",
     "singular_locus_monomial",
     "solution_count_formula",
-    "solve_nminus1form_sections",
-    "solve_oneform_sections",
-    "solve_tangent_sections",
-    "structure_kind",
+    "solve_sections",
     "wedge",
     "witness_classical_vf",
 ]

@@ -138,7 +138,7 @@ def _entry(side, ms, bundle, representative, family_degree=None) -> FoliationCla
         kind=kind,
         degree=degree,
         representative=representative,
-        nonsingularity=nonsingularity_check(representative, ms),
+        nonsingularity=nonsingularity_check(representative),
     )
 
 
@@ -154,15 +154,8 @@ def witness_classical_vf(n: int, m: int, coefficients=None) -> VectorField:
     return VectorField(tuple(comps))
 
 
-def _diagonal_field(n: int, c, indices=None) -> VectorField:
-    chosen = set(indices) if indices is not None else set(range(1, n + 1))
-    comps = []
-    for k in range(1, n + 1):
-        if k in chosen:
-            comps.append(Polynomial.variable(n, k) * c[k - 1])
-        else:
-            comps.append(Polynomial.zero(n))
-    return VectorField(tuple(comps))
+def _diagonal_field(n: int, c) -> VectorField:
+    return VectorField(tuple(Polynomial.variable(n, k) * c[k - 1] for k in range(1, n + 1)))
 
 
 def _constant_field(n: int, c, indices) -> VectorField:
@@ -180,6 +173,11 @@ def _constant_form(n: int, c, indices) -> DifferentialForm:
     )
 
 
+def _table_groups(ms: MultiplierStructure) -> list[tuple[int, ...]]:
+    """Groups in table order: the block of an intermediary pattern first, then singletons."""
+    return sorted(ms.groups, key=lambda g: (len(g) == 1, g))
+
+
 def _require_table_kind(ms: MultiplierStructure) -> StructureKind:
     kind = ms.kind
     if kind is StructureKind.GENERAL:
@@ -195,58 +193,26 @@ def admissible_tangent_bundles(
     """Admissible tangent subsheaf parameters with nonsingular witnesses.
 
     Classical patterns carry an infinite family indexed by m >= -1, truncated
-    at ``max_degree``; generic patterns give exactly the trivial parameter and
-    the n multipliers; intermediary patterns give the trivial parameter, the
-    block multiplier, and the multipliers outside the block.
+    at ``max_degree``.  Generic and intermediary patterns give the trivial
+    parameter and then one multiplier per group (the block first, then the
+    singletons), witnessed by a constant field on that group.
     """
     kind = _require_table_kind(ms)
     n = ms.n
     c = _coefficient_vector(n, coefficients)
-    entries = []
     if kind is StructureKind.CLASSICAL:
         if max_degree < -1:
             raise ValueError("max_degree must be at least -1")
+        entries = []
         for m in range(-1, max_degree + 1):
             bundle = BundleParam.monomial((-m,) + (0,) * (n - 1))
             rep = witness_classical_vf(n, m, c)
             entries.append(_entry(Side.TANGENT, ms, bundle, rep, family_degree=m))
         return entries
-    if kind is StructureKind.GENERIC:
-        entries.append(
-            _entry(Side.TANGENT, ms, BundleParam.trivial(n), _diagonal_field(n, c))
-        )
-        for j in range(1, n + 1):
-            entries.append(
-                _entry(
-                    Side.TANGENT,
-                    ms,
-                    BundleParam.multiplier(j, n),
-                    _constant_field(n, c, (j,)),
-                )
-            )
-        return entries
-    block = ms.block
-    singles = sorted(i for g in ms.groups for i in g if i not in block)
-    entries.append(
-        _entry(Side.TANGENT, ms, BundleParam.trivial(n), _diagonal_field(n, c))
-    )
-    entries.append(
-        _entry(
-            Side.TANGENT,
-            ms,
-            BundleParam.multiplier(block[0], n),
-            _constant_field(n, c, block),
-        )
-    )
-    for j in singles:
-        entries.append(
-            _entry(
-                Side.TANGENT,
-                ms,
-                BundleParam.multiplier(j, n),
-                _constant_field(n, c, (j,)),
-            )
-        )
+    entries = [_entry(Side.TANGENT, ms, BundleParam.trivial(n), _diagonal_field(n, c))]
+    for group in _table_groups(ms):
+        bundle = BundleParam.multiplier(group[0], n)
+        entries.append(_entry(Side.TANGENT, ms, bundle, _constant_field(n, c, group)))
     return entries
 
 
@@ -256,10 +222,9 @@ def admissible_conormal_bundles(
     """Admissible conormal parameters (tabulated via their inverses) with witnesses.
 
     Classical patterns carry the family b^(-1) = mu^m for 1 <= m <=
-    ``max_degree`` with coordinate-power witness forms; generic patterns give
-    the n multipliers with constant witnesses dz_j; intermediary patterns give
-    the block multiplier (witness summing dz over the block) and the
-    multipliers outside the block.
+    ``max_degree`` with coordinate-power witness forms.  Generic and
+    intermediary patterns give one multiplier per group (the block first,
+    then the singletons), witnessed by the sum of dz over that group.
     """
     kind = _require_table_kind(ms)
     n = ms.n
@@ -275,36 +240,9 @@ def admissible_conormal_bundles(
             rep = DifferentialForm(n, 1, comps)
             entries.append(_entry(Side.CONORMAL, ms, bundle, rep, family_degree=m))
         return entries
-    if kind is StructureKind.GENERIC:
-        for j in range(1, n + 1):
-            entries.append(
-                _entry(
-                    Side.CONORMAL,
-                    ms,
-                    BundleParam.multiplier(j, n),
-                    _constant_form(n, c, (j,)),
-                )
-            )
-        return entries
-    block = ms.block
-    singles = sorted(i for g in ms.groups for i in g if i not in block)
-    entries.append(
-        _entry(
-            Side.CONORMAL,
-            ms,
-            BundleParam.multiplier(block[0], n),
-            _constant_form(n, c, block),
-        )
-    )
-    for j in singles:
-        entries.append(
-            _entry(
-                Side.CONORMAL,
-                ms,
-                BundleParam.multiplier(j, n),
-                _constant_form(n, c, (j,)),
-            )
-        )
+    for group in _table_groups(ms):
+        bundle = BundleParam.multiplier(group[0], n)
+        entries.append(_entry(Side.CONORMAL, ms, bundle, _constant_form(n, c, group)))
     return entries
 
 
@@ -418,7 +356,7 @@ def singular_locus_monomial(obj) -> CoordinateLocus:
     return CoordinateLocus(n, tuple(h for h in hitting if len(h) < n))
 
 
-def nonsingularity_check(obj, ms: MultiplierStructure | None = None) -> NonsingularityResult:
+def nonsingularity_check(obj) -> NonsingularityResult:
     """Decide whether a section vanishes anywhere away from the origin.
 
     Exact branches, in order: a nonvanishing constant coefficient; all

@@ -10,8 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 from .classify import (
+    CoordinateLocus,
     Side,
     Verdict,
     admissible_conormal_bundles,
@@ -30,8 +33,8 @@ from .geometry import (
     leaf_count_classical,
 )
 from .multipliers import BundleParam, MultiplierStructure
-from .polynomials import VectorField
-from .sections import SectionSpace, _SOLVERS
+from .polynomials import VectorField, format_monomial
+from .sections import SectionSpace, dim_h0, solve_sections
 
 
 def _load_config_file(path: str) -> dict:
@@ -127,32 +130,20 @@ def _bundle_json(bundle: BundleParam, ms: MultiplierStructure) -> dict:
     }
 
 
-def _locus_json(locus) -> dict:
-    components = []
-    for c in locus.components:
-        components.append(
-            {
-                "vanishing": list(c),
-                "dimension": locus.n - len(c),
-                "display": "V("
-                + ", ".join(f"z_{i}" for i in c)
-                + ") \\ {0}, dim "
-                + str(locus.n - len(c)),
-            }
-        )
+def _locus_json(locus: CoordinateLocus) -> dict:
+    components = [
+        {
+            "vanishing": list(c),
+            "dimension": dimension,
+            "display": str(CoordinateLocus(locus.n, (c,))),
+        }
+        for c, dimension in zip(locus.components, locus.dimensions())
+    ]
     return {"empty": locus.is_empty, "components": components}
 
 
-def _monomial_display(alpha) -> str:
-    return "*".join(
-        f"z_{i}" + (f"^{p}" if p > 1 else "")
-        for i, p in enumerate(alpha, start=1)
-        if p
-    )
-
-
 def _basis_display(space: SectionSpace, k: int, alpha, n: int) -> str:
-    mono = _monomial_display(alpha)
+    mono = format_monomial(alpha)
     if space is SectionSpace.TANGENT:
         tail = f"∂/∂z_{k}"
     elif space is SectionSpace.ONE_FORM:
@@ -162,35 +153,41 @@ def _basis_display(space: SectionSpace, k: int, alpha, n: int) -> str:
     return f"{mono} {tail}" if mono else tail
 
 
-def _cmd_sections(config: dict, with_basis: bool) -> dict:
+# Each handler maps a config to (structure, results, warnings) of its report.
+
+
+def _section_query(config: dict):
     ms = _structure_from(config)
     bundle = _bundle_from(config, ms.n)
-    params = _parameters(config)
-    space = SectionSpace(params.get("space", "tangent"))
-    solutions = _SOLVERS[space](ms, bundle)
-    results = {
-        "space": space.value,
-        "bundle": _bundle_json(bundle, ms),
-        "dimension": len(solutions),
-    }
-    if with_basis:
-        results["basis"] = [
-            {
-                "component": k,
-                "exponents": list(alpha),
-                "display": _basis_display(space, k, alpha, ms.n),
-            }
-            for k, alpha in solutions
-        ]
-    return {
-        "command": "sections" if with_basis else "dim",
-        "structure": _structure_json(ms),
-        "results": results,
-        "warnings": [],
-    }
+    space = SectionSpace(_parameters(config).get("space", "tangent"))
+    return ms, bundle, space
 
 
-def _cmd_classify(config: dict) -> dict:
+def _section_results(ms, bundle, space, dimension: int) -> dict:
+    return {"space": space.value, "bundle": _bundle_json(bundle, ms), "dimension": dimension}
+
+
+def _cmd_sections(config: dict):
+    ms, bundle, space = _section_query(config)
+    solutions = solve_sections(space, ms, bundle)
+    results = _section_results(ms, bundle, space, len(solutions))
+    results["basis"] = [
+        {
+            "component": k,
+            "exponents": list(alpha),
+            "display": _basis_display(space, k, alpha, ms.n),
+        }
+        for k, alpha in solutions
+    ]
+    return _structure_json(ms), results, []
+
+
+def _cmd_dim(config: dict):
+    ms, bundle, space = _section_query(config)
+    return _structure_json(ms), _section_results(ms, bundle, space, dim_h0(space, ms, bundle)), []
+
+
+def _cmd_classify(config: dict):
     ms = _structure_from(config)
     params = _parameters(config)
     side = Side(params.get("side", "tangent"))
@@ -234,19 +231,11 @@ def _cmd_classify(config: dict) -> dict:
         raise UnsupportedComputationError(
             "classification contains unknown nonsingularity verdicts"
         )
-    return {
-        "command": "classify",
-        "structure": _structure_json(ms),
-        "results": {
-            "side": side.value,
-            "max_degree": max_degree,
-            "entries": payload,
-        },
-        "warnings": warnings,
-    }
+    results = {"side": side.value, "max_degree": max_degree, "entries": payload}
+    return _structure_json(ms), results, warnings
 
 
-def _cmd_integrability(config: dict) -> dict:
+def _cmd_integrability(config: dict):
     n = _ambient_dimension(config)
     omega = _form_from(config, n)
     defect = frobenius_defect(omega)
@@ -255,20 +244,16 @@ def _cmd_integrability(config: dict) -> dict:
         warnings.append(
             "every 3-form vanishes below ambient dimension 3; the zero defect is vacuous"
         )
-    return {
-        "command": "integrability",
-        "structure": None,
-        "results": {
-            "integrable": defect.is_zero(),
-            "defect_terms": len(defect.terms()),
-            "defect": defect.to_json(),
-            "display": str(defect),
-        },
-        "warnings": warnings,
+    results = {
+        "integrable": defect.is_zero(),
+        "defect_terms": len(defect.terms()),
+        "defect": defect.to_json(),
+        "display": str(defect),
     }
+    return None, results, warnings
 
 
-def _cmd_brunella(config: dict) -> dict:
+def _cmd_brunella(config: dict):
     n = _ambient_dimension(config)
     omega = _form_from(config, n)
     outcome = brunella_alternative(omega)
@@ -286,15 +271,10 @@ def _cmd_brunella(config: dict) -> dict:
             "contraction_display": None,
             "verified": None,
         }
-    return {
-        "command": "brunella",
-        "structure": None,
-        "results": results,
-        "warnings": [],
-    }
+    return None, results, []
 
 
-def _cmd_leafcount(config: dict) -> dict:
+def _cmd_leafcount(config: dict):
     n = _ambient_dimension(config)
     params = _parameters(config)
     if "m" not in params:
@@ -331,96 +311,65 @@ def _cmd_leafcount(config: dict) -> dict:
             "comparison only; it answers a different question and no equality "
             "with the closed-form leaf count is asserted"
         )
-    return {
-        "command": "leafcount",
-        "structure": None,
-        "results": {
-            "n": n,
-            "m": m,
-            "count": count,
-            "extrapolated": extrapolated,
-            "oracle": oracle,
-            "notes": notes,
-        },
-        "warnings": warnings,
+    results = {
+        "n": n,
+        "m": m,
+        "count": count,
+        "extrapolated": extrapolated,
+        "oracle": oracle,
+        "notes": notes,
     }
+    return None, results, warnings
 
 
-def _cmd_hodge(config: dict) -> dict:
+def _cmd_hodge(config: dict):
     n = _ambient_dimension(config)
     table = hodge_numbers(n)
-    return {
-        "command": "hodge",
-        "structure": None,
-        "results": {
-            "n": n,
-            "entries": [
-                {"p": p, "q": q, "value": v} for p, q, v in table.nonzero_entries()
-            ],
-            "chern_top": table.alternating_sum(),
-        },
-        "warnings": [],
+    results = {
+        "n": n,
+        "entries": [{"p": p, "q": q, "value": v} for p, q, v in table.nonzero_entries()],
+        "chern_top": table.alternating_sum(),
     }
+    return None, results, []
 
 
-def _cmd_singlocus(config: dict) -> dict:
+def _cmd_singlocus(config: dict):
     n = _ambient_dimension(config)
     kind, obj = _section_object_from(config, n)
     locus = singular_locus_monomial(obj)
-    return {
-        "command": "singlocus",
-        "structure": None,
-        "results": {"object": kind, "locus": _locus_json(locus)},
-        "warnings": [],
-    }
+    return None, {"object": kind, "locus": _locus_json(locus)}, []
 
 
-def _cmd_obstruction(config: dict) -> dict:
+def _cmd_obstruction(config: dict):
     n = _ambient_dimension(config)
     kind, obj = _section_object_from(config, n)
-    ms = None
+    structure = None
     if config.get("groups") is not None:
-        ms = _structure_from(config)
-    report = isolated_singularity_obstruction(obj, ms)
-    return {
-        "command": "obstruction",
-        "structure": _structure_json(ms) if ms is not None else None,
-        "results": {
-            "object": kind,
-            "locus": _locus_json(report.locus),
-            "consistent": report.consistent,
-            "chern_top": report.chern_top,
-            "chain": list(report.chain),
-        },
-        "warnings": [],
+        structure = _structure_json(_structure_from(config))
+    report = isolated_singularity_obstruction(obj)
+    results = {
+        "object": kind,
+        "locus": _locus_json(report.locus),
+        "consistent": report.consistent,
+        "chern_top": report.chern_top,
+        "chain": list(report.chain),
     }
+    return structure, results, []
 
 
-def run_command(command: str, config: dict) -> dict:
-    """Execute one CLI command against a validated config and build its report."""
-    if command == "sections":
-        return _cmd_sections(config, with_basis=True)
-    if command == "dim":
-        return _cmd_sections(config, with_basis=False)
-    if command == "classify":
-        return _cmd_classify(config)
-    if command == "integrability":
-        return _cmd_integrability(config)
-    if command == "brunella":
-        return _cmd_brunella(config)
-    if command == "leafcount":
-        return _cmd_leafcount(config)
-    if command == "hodge":
-        return _cmd_hodge(config)
-    if command == "singlocus":
-        return _cmd_singlocus(config)
-    if command == "obstruction":
-        return _cmd_obstruction(config)
-    raise ValueError(f"unknown command {command!r}")
+# Each text renderer maps the results of a report to the lines of its body.
 
 
-def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2, ensure_ascii=False)
+def _text_sections(results: dict) -> list[str]:
+    lines = [
+        f"space: {results['space']}",
+        f"bundle: {results['bundle']['display']}",
+        f"dimension: {results['dimension']}",
+    ]
+    if "basis" in results:
+        lines.append("basis:")
+        lines.extend(f"  {entry['display']}" for entry in results["basis"])
+    return lines
 
 
 def _text_classify(results: dict) -> list[str]:
@@ -440,79 +389,147 @@ def _text_classify(results: dict) -> list[str]:
     return lines
 
 
-def _text_body(report: dict) -> list[str]:
-    command = report["command"]
-    results = report["results"]
-    if command in ("sections", "dim"):
-        lines = [
-            f"space: {results['space']}",
-            f"bundle: {results['bundle']['display']}",
-            f"dimension: {results['dimension']}",
-        ]
-        if "basis" in results:
-            lines.append("basis:")
-            lines.extend(f"  {entry['display']}" for entry in results["basis"])
-        return lines
-    if command == "classify":
-        return _text_classify(results)
-    if command == "integrability":
-        return [
-            f"integrable: {str(results['integrable']).lower()}",
-            f"defect: {results['display']}",
-            f"defect terms: {results['defect_terms']}",
-        ]
-    if command == "brunella":
-        lines = [f"verdict: {results['verdict']}"]
-        if results["contraction_display"] is not None:
-            lines.append(f"contraction: {results['contraction_display']}")
-            lines.append(f"identity verified: {str(results['verified']).lower()}")
-        return lines
-    if command == "leafcount":
-        lines = [f"n: {results['n']}", f"m: {results['m']}"]
-        lines.append(
-            f"count: {results['count']}"
-            + (" (extrapolated)" if results["extrapolated"] else "")
-        )
-        oracle = results["oracle"]
-        if oracle is not None:
-            if oracle["status"] == "infinite":
-                lines.append("oracle: infinitely many fixed directions")
-            else:
-                lines.append(
-                    f"oracle: {oracle['with_multiplicity']} with multiplicity, "
-                    f"{oracle['distinct']} distinct"
-                )
-        for note in results["notes"]:
-            lines.append(f"note: {note}")
-        return lines
-    if command == "hodge":
-        lines = [f"n: {results['n']}"]
-        lines.extend(
-            f"h[{e['p']},{e['q']}] = {e['value']}" for e in results["entries"]
-        )
-        lines.append(f"chern top: {results['chern_top']}")
-        return lines
-    if command == "singlocus":
-        lines = [f"object: {results['object']}"]
-        locus = results["locus"]
-        if locus["empty"]:
-            lines.append("locus: empty")
+def _text_integrability(results: dict) -> list[str]:
+    return [
+        f"integrable: {str(results['integrable']).lower()}",
+        f"defect: {results['display']}",
+        f"defect terms: {results['defect_terms']}",
+    ]
+
+
+def _text_brunella(results: dict) -> list[str]:
+    lines = [f"verdict: {results['verdict']}"]
+    if results["contraction_display"] is not None:
+        lines.append(f"contraction: {results['contraction_display']}")
+        lines.append(f"identity verified: {str(results['verified']).lower()}")
+    return lines
+
+
+def _text_leafcount(results: dict) -> list[str]:
+    lines = [f"n: {results['n']}", f"m: {results['m']}"]
+    lines.append(
+        f"count: {results['count']}"
+        + (" (extrapolated)" if results["extrapolated"] else "")
+    )
+    oracle = results["oracle"]
+    if oracle is not None:
+        if oracle["status"] == "infinite":
+            lines.append("oracle: infinitely many fixed directions")
         else:
-            lines.extend(f"locus: {c['display']}" for c in locus["components"])
-        return lines
-    if command == "obstruction":
-        lines = [f"object: {results['object']}"]
-        locus = results["locus"]
-        if locus["empty"]:
-            lines.append("locus: empty")
-        else:
-            lines.extend(f"locus: {c['display']}" for c in locus["components"])
-        lines.append(f"consistent: {str(results['consistent']).lower()}")
-        lines.append(f"chern top: {results['chern_top']}")
-        lines.append("chain:")
-        lines.extend(f"  - {step}" for step in results["chain"])
-        return lines
-    raise ValueError(f"unknown command {command!r}")
+            lines.append(
+                f"oracle: {oracle['with_multiplicity']} with multiplicity, "
+                f"{oracle['distinct']} distinct"
+            )
+    for note in results["notes"]:
+        lines.append(f"note: {note}")
+    return lines
+
+
+def _text_hodge(results: dict) -> list[str]:
+    lines = [f"n: {results['n']}"]
+    lines.extend(f"h[{e['p']},{e['q']}] = {e['value']}" for e in results["entries"])
+    lines.append(f"chern top: {results['chern_top']}")
+    return lines
+
+
+def _text_singlocus(results: dict) -> list[str]:
+    lines = [f"object: {results['object']}"]
+    locus = results["locus"]
+    if locus["empty"]:
+        lines.append("locus: empty")
+    else:
+        lines.extend(f"locus: {c['display']}" for c in locus["components"])
+    return lines
+
+
+def _text_obstruction(results: dict) -> list[str]:
+    lines = _text_singlocus(results)
+    lines.append(f"consistent: {str(results['consistent']).lower()}")
+    lines.append(f"chern top: {results['chern_top']}")
+    lines.append("chain:")
+    lines.extend(f"  - {step}" for step in results["chain"])
+    return lines
+
+
+# Command-specific argparse flags, in the order they are added to a parser.
+_FLAGS = {
+    "groups": {"help": 'multiplier groups as JSON, e.g. "[[1,2],[3]]"'},
+    "space": {"choices": [s.value for s in SectionSpace], "help": "which section space"},
+    "side": {"choices": [s.value for s in Side], "help": "classification side"},
+    "max_degree": {"type": int, "help": "classical family cutoff"},
+    "m": {"type": int, "help": "degree parameter"},
+    "strict": {
+        "action": "store_true",
+        "default": None,
+        "help": "fail (exit 3) on unknown verdicts",
+    },
+}
+
+
+@dataclass(frozen=True)
+class Command:
+    """One CLI command: its help line, report handler, text renderer and flags."""
+
+    help: str
+    handler: Callable[[dict], tuple]
+    text: Callable[[dict], list[str]]
+    flags: tuple[str, ...] = ()
+
+
+COMMANDS = {
+    "sections": Command(
+        "monomial basis of a twisted section space", _cmd_sections, _text_sections,
+        ("groups", "space"),
+    ),
+    "dim": Command(
+        "dimension of a twisted section space", _cmd_dim, _text_sections, ("groups", "space")
+    ),
+    "classify": Command(
+        "admissible bundles with witnesses", _cmd_classify, _text_classify,
+        ("groups", "side", "max_degree", "strict"),
+    ),
+    "integrability": Command(
+        "integrability defect of a 1-form", _cmd_integrability, _text_integrability
+    ),
+    "brunella": Command(
+        "invariant-hypersurface alternative for an integrable 1-form",
+        _cmd_brunella, _text_brunella,
+    ),
+    "leafcount": Command(
+        "compact leaf count of the coordinate-power family", _cmd_leafcount, _text_leafcount,
+        ("m",),
+    ),
+    "hodge": Command("Hodge table and top Chern number", _cmd_hodge, _text_hodge),
+    "singlocus": Command(
+        "coordinate-subspace singular locus of a monomial section",
+        _cmd_singlocus, _text_singlocus,
+    ),
+    "obstruction": Command(
+        "isolated-singularity obstruction report", _cmd_obstruction, _text_obstruction,
+        ("groups",),
+    ),
+}
+
+
+def _command(name: str) -> Command:
+    if name not in COMMANDS:
+        raise ValueError(f"unknown command {name!r}")
+    return COMMANDS[name]
+
+
+def run_command(command: str, config: dict) -> dict:
+    """Execute one CLI command against a validated config and build its report."""
+    structure, results, warnings = _command(command).handler(config)
+    return {
+        "command": command,
+        "structure": structure,
+        "results": results,
+        "warnings": warnings,
+    }
+
+
+def render_json(report: dict) -> str:
+    return json.dumps(report, indent=2, ensure_ascii=False)
 
 
 def render_text(report: dict) -> str:
@@ -525,7 +542,7 @@ def render_text(report: dict) -> str:
         lines.append(
             f"structure: {structure['kind']}, n={structure['n']}, groups {groups}"
         )
-    lines.extend(_text_body(report))
+    lines.extend(_command(report["command"]).text(report["results"]))
     warnings = report.get("warnings") or []
     if warnings:
         lines.append("warnings:")
@@ -542,9 +559,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, *, structure=False, space=False, side=False, m=False, strict=False):
-        cmd = sub.add_parser(name, help=help_text)
+    for name, command in COMMANDS.items():
+        cmd = sub.add_parser(name, help=command.help)
         cmd.add_argument("--config", help="JSON problem description")
         fmt = cmd.add_mutually_exclusive_group()
         fmt.add_argument(
@@ -555,40 +571,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         cmd.set_defaults(fmt="text")
         cmd.add_argument("--n", type=int, help="ambient dimension")
-        if structure:
-            cmd.add_argument(
-                "--groups", help='multiplier groups as JSON, e.g. "[[1,2],[3]]"'
-            )
-        if space:
-            cmd.add_argument(
-                "--space",
-                choices=[s.value for s in SectionSpace],
-                help="which section space",
-            )
-        if side:
-            cmd.add_argument(
-                "--side", choices=[s.value for s in Side], help="classification side"
-            )
-            cmd.add_argument("--max-degree", type=int, help="classical family cutoff")
-        if m:
-            cmd.add_argument("--m", type=int, help="degree parameter")
-        if strict:
-            cmd.add_argument(
-                "--strict",
-                action="store_true",
-                help="fail (exit 3) on unknown verdicts",
-            )
-        return cmd
-
-    add("sections", "monomial basis of a twisted section space", structure=True, space=True)
-    add("dim", "dimension of a twisted section space", structure=True, space=True)
-    add("classify", "admissible bundles with witnesses", structure=True, side=True, strict=True)
-    add("integrability", "integrability defect of a 1-form")
-    add("brunella", "invariant-hypersurface alternative for an integrable 1-form")
-    add("leafcount", "compact leaf count of the coordinate-power family", m=True)
-    add("hodge", "Hodge table and top Chern number")
-    add("singlocus", "coordinate-subspace singular locus of a monomial section")
-    add("obstruction", "isolated-singularity obstruction report", structure=True)
+        for flag in command.flags:
+            cmd.add_argument("--" + flag.replace("_", "-"), **_FLAGS[flag])
     return parser
 
 
@@ -603,14 +587,10 @@ def _assemble_config(args: argparse.Namespace) -> dict:
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed --groups value: {exc}") from exc
     params = dict(config.get("parameters") or {})
-    for name in ("space", "side", "m"):
-        value = getattr(args, name, None)
-        if value is not None:
+    for name in COMMANDS[args.command].flags:
+        value = getattr(args, name)
+        if name != "groups" and value is not None:
             params[name] = value
-    if getattr(args, "max_degree", None) is not None:
-        params["max_degree"] = args.max_degree
-    if getattr(args, "strict", False):
-        params["strict"] = True
     config["parameters"] = params
     return config
 

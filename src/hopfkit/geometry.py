@@ -21,7 +21,6 @@ from .forms import (
     radial_field,
     wedge,
 )
-from .multipliers import MultiplierStructure
 from .polynomials import Polynomial, VectorField
 
 
@@ -197,26 +196,21 @@ class HodgeTable:
 
     n: int
 
+    def _nonzero(self) -> tuple[tuple[int, int], ...]:
+        return ((0, 0), (0, 1), (self.n, self.n - 1), (self.n, self.n))
+
     def h(self, p: int, q: int) -> int:
         if not (0 <= p <= self.n and 0 <= q <= self.n):
             raise ValueError(f"indices ({p}, {q}) out of range 0..{self.n}")
-        nonzero = {(0, 0), (0, 1), (self.n, self.n - 1), (self.n, self.n)}
-        return 1 if (p, q) in nonzero else 0
+        return 1 if (p, q) in self._nonzero() else 0
 
     def nonzero_entries(self) -> list[tuple[int, int, int]]:
-        return [
-            (p, q, self.h(p, q))
-            for p in range(self.n + 1)
-            for q in range(self.n + 1)
-            if self.h(p, q)
-        ]
+        """The four entries equal to 1, in row-major order."""
+        return [(p, q, 1) for p, q in self._nonzero()]
 
     def alternating_sum(self) -> int:
-        return sum(
-            (-1) ** (p + q) * self.h(p, q)
-            for p in range(self.n + 1)
-            for q in range(self.n + 1)
-        )
+        """Sum of (-1)^(p+q) h[p,q]; the four nonzero entries cancel to 0."""
+        return sum((-1) ** (p + q) for p, q in self._nonzero())
 
 
 def hodge_numbers(n: int) -> HodgeTable:
@@ -250,7 +244,7 @@ _OBSTRUCTION_CHAIN = (
 )
 
 
-def isolated_singularity_obstruction(obj, ms: MultiplierStructure | None = None) -> ObstructionReport:
+def isolated_singularity_obstruction(obj) -> ObstructionReport:
     """Check a monomial section against the isolated-singularity obstruction.
 
     Computes the coordinate-subspace singular locus and confirms it is empty

@@ -116,11 +116,6 @@ class MultiplierStructure:
         return "*".join(parts) if parts else "1"
 
 
-def structure_kind(ms: MultiplierStructure) -> StructureKind:
-    """Classify the relation pattern of a multiplier structure."""
-    return ms.kind
-
-
 @dataclass(frozen=True)
 class BundleParam:
     """Multiplicative parameter of a line bundle on the quotient manifold.

@@ -247,12 +247,17 @@ class Polynomial:
         return cls(n, terms)
 
 
-def _format_term(exponents, coeff) -> str:
-    variables = "*".join(
-        f"z_{i + 1}" + (f"^{p}" if p > 1 else "")
-        for i, p in enumerate(exponents)
+def format_monomial(exponents) -> str:
+    """The monomial z^exponents as "z_1^2*z_3"; "" for the zero exponent."""
+    return "*".join(
+        f"z_{i}" + (f"^{p}" if p > 1 else "")
+        for i, p in enumerate(exponents, start=1)
         if p
     )
+
+
+def _format_term(exponents, coeff) -> str:
+    variables = format_monomial(exponents)
     text = str(coeff)
     composite = any(ch in text[1:] for ch in "+-")
     if not variables:

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import product
 
-from .errors import UnsupportedComputationError
-from .multipliers import BundleParam, MultiplierStructure, StructureKind
+from .multipliers import BundleParam, MultiplierStructure
 
 
 def weak_compositions(total: int, parts: int):
@@ -64,9 +63,9 @@ class SolutionSet:
 
     Entries are pairs ``(k, alpha)``: a component index and the exponent
     vector of one basis monomial, ordered by component and then
-    lexicographically.  What the pair denotes (a field z^alpha d/dz_k, a form
-    z^alpha dz_k, or an (n-1)-form omitting dz_k) depends on the solver that
-    produced the set.
+    lexicographically.  The section space fixes what the pair denotes: a
+    field z^alpha d/dz_k (tangent), a form z^alpha dz_k (1-forms), or the
+    (n-1)-form z^alpha dz_1^...^dz_n with dz_k omitted.
     """
 
     entries: tuple[tuple[int, tuple[int, ...]], ...]
@@ -84,78 +83,6 @@ class SolutionSet:
         return [alpha for k, alpha in self.entries if k == component]
 
 
-def _exponents(ms: MultiplierStructure, param: BundleParam) -> tuple[int, ...]:
-    if param.exponents is None:
-        raise ValueError("bundle parameter has no monomial expression")
-    if len(param.exponents) != ms.n:
-        raise ValueError(
-            f"bundle exponent vector has length {len(param.exponents)}, expected {ms.n}"
-        )
-    return param.exponents
-
-
-def _shift(exponents, delta_index: int, amount: int) -> tuple[int, ...]:
-    return tuple(
-        v + (amount if i == delta_index else 0) for i, v in enumerate(exponents, start=1)
-    )
-
-
-def solve_tangent_sections(ms: MultiplierStructure, bundle: BundleParam) -> SolutionSet:
-    """Monomial vector fields pairing with a rank-one tangent subsheaf parameter.
-
-    For subsheaf parameter b the matching global sections live in the tangent
-    sheaf twisted by the inverse parameter, spanned by monomials
-    z^alpha d/dz_k with mu^alpha = mu_k * b^(-1).  An unrelated parameter has
-    no sections at all.
-    """
-    if bundle.is_unrelated:
-        return SolutionSet(())
-    inverse = _exponents(ms, bundle.inverse())
-    entries = []
-    for k in range(1, ms.n + 1):
-        target = ms.class_of(_shift(inverse, k, +1))
-        entries.extend((k, alpha) for alpha in _alphas_with_class(ms, target))
-    entries.sort()
-    return SolutionSet(tuple(entries))
-
-
-def solve_oneform_sections(ms: MultiplierStructure, twist: BundleParam) -> SolutionSet:
-    """Monomial 1-forms z^alpha dz_k twisted by ``twist``.
-
-    The component-k equation is mu^alpha * mu_k = twist.
-    """
-    if twist.is_unrelated:
-        return SolutionSet(())
-    exps = _exponents(ms, twist)
-    entries = []
-    for k in range(1, ms.n + 1):
-        target = ms.class_of(_shift(exps, k, -1))
-        entries.extend((k, alpha) for alpha in _alphas_with_class(ms, target))
-    entries.sort()
-    return SolutionSet(tuple(entries))
-
-
-def solve_nminus1form_sections(ms: MultiplierStructure, twist: BundleParam) -> SolutionSet:
-    """Monomial (n-1)-forms z^alpha dz_1^...^dz_n with dz_k omitted, twisted by ``twist``.
-
-    The component-k equation is mu^(alpha + 1) / mu_k = twist, with 1 the
-    all-ones vector.  Requires n >= 3; at n = 2 these coincide with 1-forms
-    and the dedicated solver should be used.
-    """
-    if ms.n < 3:
-        raise ValueError("(n-1)-form sections need ambient dimension at least 3")
-    if twist.is_unrelated:
-        return SolutionSet(())
-    exps = _exponents(ms, twist)
-    shifted = tuple(v - 1 for v in exps)
-    entries = []
-    for k in range(1, ms.n + 1):
-        target = ms.class_of(_shift(shifted, k, +1))
-        entries.extend((k, alpha) for alpha in _alphas_with_class(ms, target))
-    entries.sort()
-    return SolutionSet(tuple(entries))
-
-
 class SectionSpace(str, Enum):
     """Which twisted section space a dimension query refers to."""
 
@@ -164,43 +91,67 @@ class SectionSpace(str, Enum):
     TOP_MINUS_ONE_FORM = "top-minus-one-form"
 
 
-_SOLVERS = {
-    SectionSpace.TANGENT: solve_tangent_sections,
-    SectionSpace.ONE_FORM: solve_oneform_sections,
-    SectionSpace.TOP_MINUS_ONE_FORM: solve_nminus1form_sections,
+# Component k of each space is one monomial identity mu^alpha = mu^(s*p + o*1 + d*e_k)
+# in the parameter p, 1 the all-ones vector: tangent mu^alpha = mu_k / b, 1-forms
+# mu^alpha * mu_k = a, (n-1)-forms mu^(alpha + 1) / mu_k = b.  Entries are (s, o, d).
+_IDENTITIES = {
+    SectionSpace.TANGENT: (-1, 0, +1),
+    SectionSpace.ONE_FORM: (+1, 0, -1),
+    SectionSpace.TOP_MINUS_ONE_FORM: (+1, -1, +1),
 }
+
+
+def _targets(space, ms: MultiplierStructure, param: BundleParam):
+    """Equivalence key that basis exponents of component k must have, for k = 1..n.
+
+    ``None`` for an unrelated parameter, whose section spaces are all zero.
+    """
+    space = SectionSpace(space)
+    if space is SectionSpace.TOP_MINUS_ONE_FORM and ms.n < 3:
+        raise ValueError("(n-1)-form sections need ambient dimension at least 3")
+    if param.is_unrelated:
+        return None
+    if len(param.exponents) != ms.n:
+        raise ValueError(
+            f"bundle exponent vector has length {len(param.exponents)}, expected {ms.n}"
+        )
+    sign, offset, delta = _IDENTITIES[space]
+    key = ms.class_of([sign * v + offset for v in param.exponents])
+    return [
+        tuple(v + delta if k in group else v for v, group in zip(key, ms.groups))
+        for k in range(1, ms.n + 1)
+    ]
+
+
+def solve_sections(space, ms: MultiplierStructure, param: BundleParam) -> SolutionSet:
+    """Monomial basis of the requested twisted section space.
+
+    For ``SectionSpace.TANGENT`` the argument is the subsheaf parameter b and
+    the basis is z^alpha d/dz_k with mu^alpha = mu_k * b^(-1); for
+    ``ONE_FORM`` it is the twist a and the basis is z^alpha dz_k with
+    mu^alpha * mu_k = a; for ``TOP_MINUS_ONE_FORM`` (n >= 3 only) it is the
+    twist b and the basis is z^alpha dz_1^...^dz_n with dz_k omitted and
+    mu^(alpha + 1) / mu_k = b, 1 the all-ones vector.  An unrelated parameter
+    has no sections at all.
+    """
+    targets = _targets(space, ms, param) or ()
+    return SolutionSet(tuple(
+        (k, alpha)
+        for k, key in enumerate(targets, start=1)
+        for alpha in _alphas_with_class(ms, key)
+    ))
 
 
 def dim_h0(space, ms: MultiplierStructure, param: BundleParam) -> int:
     """Dimension of the requested twisted section space.
 
-    The parameter convention matches the underlying solver: for
-    ``SectionSpace.TANGENT`` the argument is the subsheaf parameter b (the
-    sections are twisted by b^(-1)); for the form spaces it is the twist
-    itself.
-
-    Evaluated through the closed binomial count per component rather than by
+    The parameter convention is that of :func:`solve_sections`.  Evaluated
+    through the closed binomial count per component rather than by
     enumerating the basis, so it stays cheap for large exponents; it always
-    equals ``len`` of the corresponding solver output.
+    equals ``len(solve_sections(space, ms, param))``.
     """
-    space = SectionSpace(space)
-    if param.is_unrelated:
-        return 0
-    if space is SectionSpace.TANGENT:
-        base = _exponents(ms, param.inverse())
-        delta = +1
-    elif space is SectionSpace.ONE_FORM:
-        base = _exponents(ms, param)
-        delta = -1
-    else:
-        if ms.n < 3:
-            raise ValueError("(n-1)-form sections need ambient dimension at least 3")
-        base = tuple(v - 1 for v in _exponents(ms, param))
-        delta = +1
-    return sum(
-        solution_count_formula(ms, ms.class_of(_shift(base, k, delta)))
-        for k in range(1, ms.n + 1)
-    )
+    targets = _targets(space, ms, param) or ()
+    return sum(solution_count_formula(ms, key) for key in targets)
 
 
 def solution_count_formula(ms: MultiplierStructure, key) -> int:
@@ -230,17 +181,13 @@ class Predicate(str, Enum):
     CONORMAL = "conormal"
 
 
-def _key_parts(ms: MultiplierStructure, exponents):
-    """Split an equivalence key into the block value and the singleton values."""
-    key = ms.class_of(exponents)
-    if ms.kind is StructureKind.INTERMEDIARY:
-        block_position = next(
-            pos for pos, g in enumerate(ms.groups) if len(g) > 1
-        )
-        block_value = key[block_position]
-        singles = [v for pos, v in enumerate(key) if pos != block_position]
-        return block_value, singles
-    return None, list(key)
+# (section space, whether the predicate evaluates it at the inverse parameter)
+_PREDICATE_SPACES = {
+    Predicate.TANGENT: (SectionSpace.TANGENT, True),
+    Predicate.ONE_FORM: (SectionSpace.ONE_FORM, False),
+    Predicate.TOP_MINUS_ONE_FORM: (SectionSpace.TOP_MINUS_ONE_FORM, False),
+    Predicate.CONORMAL: (SectionSpace.ONE_FORM, True),
+}
 
 
 def predicate_existence(predicate, ms: MultiplierStructure, param: BundleParam) -> bool:
@@ -249,70 +196,16 @@ def predicate_existence(predicate, ms: MultiplierStructure, param: BundleParam) 
     Parameter conventions:
 
     * ``TANGENT``: param is the twist a; decides dim of the tangent sheaf
-      twisted by a.
+      twisted by a, which is the tangent section space at a^(-1).
     * ``ONE_FORM``: param is the twist a of the 1-forms.
     * ``TOP_MINUS_ONE_FORM``: param is the twist b of the (n-1)-forms.
     * ``CONORMAL``: param is the conormal parameter b of a codimension-one
       distribution; the condition constrains b^(-1) and equals the ONE_FORM
       test at b^(-1).
 
-    Supported for classical, generic, and intermediary structures.  For a
-    general partition no closed form is claimed and callers should fall back
-    to ``dim_h0(...) > 0``; requesting one raises
-    :class:`UnsupportedComputationError`.
+    The space is nonzero exactly when some component's equivalence key has
+    every group entry >= 0, which holds for every relation pattern.
     """
-    predicate = Predicate(predicate)
-    kind = ms.kind
-    if kind is StructureKind.GENERAL:
-        raise UnsupportedComputationError(
-            "no closed-form existence test for a general relation pattern"
-        )
-    if predicate is Predicate.TOP_MINUS_ONE_FORM and ms.n < 3:
-        raise ValueError("the (n-1)-form test needs ambient dimension at least 3")
-    if param.is_unrelated:
-        return False
-    if predicate is Predicate.CONORMAL:
-        return predicate_existence(Predicate.ONE_FORM, ms, param.inverse())
-
-    exps = _exponents(ms, param)
-    if kind is StructureKind.CLASSICAL:
-        total = sum(exps)
-        if predicate is Predicate.TANGENT:
-            return total >= -1
-        if predicate is Predicate.ONE_FORM:
-            return total >= 1
-        return total >= ms.n - 1
-
-    block, singles = _key_parts(ms, exps)
-    if kind is StructureKind.GENERIC:
-        # every group is a singleton; treat the key entries uniformly
-        if predicate is Predicate.TANGENT:
-            return any(
-                v >= -1 and all(w >= 0 for j, w in enumerate(singles) if j != i)
-                for i, v in enumerate(singles)
-            )
-        if predicate is Predicate.ONE_FORM:
-            return all(v >= 0 for v in singles) and any(v >= 1 for v in singles)
-        return any(
-            v >= 0 and all(w >= 1 for j, w in enumerate(singles) if j != i)
-            for i, v in enumerate(singles)
-        )
-
-    r = ms.block_size
-    if predicate is Predicate.TANGENT:
-        if block >= -1 and all(v >= 0 for v in singles):
-            return True
-        return block >= 0 and any(
-            v >= -1 and all(w >= 0 for j, w in enumerate(singles) if j != i)
-            for i, v in enumerate(singles)
-        )
-    if predicate is Predicate.ONE_FORM:
-        if any(v < 0 for v in singles):
-            return False
-        return block >= 1 or (block >= 0 and any(v >= 1 for v in singles))
-    if block >= r - 1 and all(v >= 1 for v in singles):
-        return True
-    return block >= r and any(
-        v >= 0 and all(w >= 1 for j, w in enumerate(singles) if j != i)
-        for i, v in enumerate(singles)
-    )
+    space, inverse = _PREDICATE_SPACES[Predicate(predicate)]
+    targets = _targets(space, ms, param.inverse() if inverse else param) or ()
+    return any(all(v >= 0 for v in key) for key in targets)

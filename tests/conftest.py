@@ -1,8 +1,10 @@
 """Shared oracles and random object generators.
 
 The brute-force counters here deliberately avoid the library's stars-and-bars
-enumeration: they walk a covering exponent box and test the defining key
-equality directly, so solver bugs cannot cancel out.
+enumeration and its target keys: they read each component's target off the
+defining monomial identity, walk a covering exponent box and compare group
+sums directly, so solver bugs cannot cancel out.  ``predicate_oracle`` keeps
+the paper's per-kind closed forms for the positivity predicates.
 """
 
 from fractions import Fraction
@@ -10,23 +12,40 @@ from itertools import product
 
 import pytest
 
-from hopfkit import BundleParam, DifferentialForm, GaussianRational, Polynomial, VectorField
-from hopfkit.sections import SectionSpace, _exponents, _shift
+from hopfkit import (
+    DifferentialForm,
+    GaussianRational,
+    Polynomial,
+    Predicate,
+    StructureKind,
+    VectorField,
+)
+from hopfkit.sections import SectionSpace
+
+
+def _group_sums(ms, vector):
+    return [sum(vector[i - 1] for i in group) for group in ms.groups]
 
 
 def _targets(space, ms, param):
-    """Per-component key targets, mirroring the defining monomial identities."""
+    """Per component k, the group sums every basis exponent alpha must have.
+
+    The defining identities in the multipliers: tangent fields z^alpha d/dz_k
+    with mu^alpha = mu_k / b; 1-forms z^alpha dz_k with mu^alpha * mu_k = a;
+    (n-1)-forms omitting dz_k with mu^(alpha + 1) / mu_k = b.
+    """
     space = SectionSpace(space)
-    if space is SectionSpace.TANGENT:
-        base = _exponents(ms, param.inverse())
-        delta = +1
-    elif space is SectionSpace.ONE_FORM:
-        base = _exponents(ms, param)
-        delta = -1
-    else:
-        base = tuple(v - 1 for v in _exponents(ms, param))
-        delta = +1
-    return [ms.class_of(_shift(base, k, delta)) for k in range(1, ms.n + 1)]
+    targets = []
+    for k in range(1, ms.n + 1):
+        unit = [int(i == k) for i in range(1, ms.n + 1)]
+        if space is SectionSpace.TANGENT:  # alpha = e_k - b
+            alpha = [u - b for u, b in zip(unit, param.exponents)]
+        elif space is SectionSpace.ONE_FORM:  # alpha = a - e_k
+            alpha = [a - u for a, u in zip(param.exponents, unit)]
+        else:  # alpha = b + e_k - (1, ..., 1)
+            alpha = [b + u - 1 for b, u in zip(param.exponents, unit)]
+        targets.append(_group_sums(ms, alpha))
+    return targets
 
 
 def brute_force_entries(space, ms, param):
@@ -46,7 +65,7 @@ def brute_force_entries(space, ms, param):
         if any(t < 0 for t in target):
             continue
         for alpha in product(range(bound + 1), repeat=ms.n):
-            if list(ms.class_of(alpha)) == list(target):
+            if _group_sums(ms, alpha) == target:
                 entries.append((k, alpha))
     entries.sort()
     return entries
@@ -54,6 +73,53 @@ def brute_force_entries(space, ms, param):
 
 def brute_force_dim(space, ms, param):
     return len(brute_force_entries(space, ms, param))
+
+
+def _all_but_one(values, low_one, low_rest):
+    """Some entry is >= low_one while every other entry is >= low_rest."""
+    return any(
+        v >= low_one and all(w >= low_rest for j, w in enumerate(values) if j != i)
+        for i, v in enumerate(values)
+    )
+
+
+def predicate_oracle(predicate, ms, param):
+    """The paper's closed-form positivity tests, one formula per structure kind.
+
+    Classical, generic and intermediary patterns only.  Conventions follow
+    ``predicate_existence``: TANGENT and CONORMAL constrain the inverse
+    parameter, and CONORMAL is the ONE_FORM test at that inverse.
+    """
+    predicate = Predicate(predicate)
+    if param.is_unrelated:
+        return False
+    if predicate is Predicate.CONORMAL:
+        return predicate_oracle(Predicate.ONE_FORM, ms, param.inverse())
+    key = _group_sums(ms, param.exponents)
+    if ms.kind is StructureKind.CLASSICAL:
+        low = {Predicate.TANGENT: -1, Predicate.ONE_FORM: 1}.get(predicate, ms.n - 1)
+        return key[0] >= low
+    if ms.kind is StructureKind.GENERIC:
+        if predicate is Predicate.TANGENT:
+            return _all_but_one(key, -1, 0)
+        if predicate is Predicate.ONE_FORM:
+            return all(v >= 0 for v in key) and any(v >= 1 for v in key)
+        return _all_but_one(key, 0, 1)
+    assert ms.kind is StructureKind.INTERMEDIARY
+    position = next(pos for pos, g in enumerate(ms.groups) if len(g) > 1)
+    block, r = key[position], len(ms.groups[position])
+    singles = [v for pos, v in enumerate(key) if pos != position]
+    if predicate is Predicate.TANGENT:
+        if block >= -1 and all(v >= 0 for v in singles):
+            return True
+        return block >= 0 and _all_but_one(singles, -1, 0)
+    if predicate is Predicate.ONE_FORM:
+        if any(v < 0 for v in singles):
+            return False
+        return block >= 1 or (block >= 0 and any(v >= 1 for v in singles))
+    if block >= r - 1 and all(v >= 1 for v in singles):
+        return True
+    return block >= r and _all_but_one(singles, 0, 1)
 
 
 def minimal_hitting_sets_oracle(supports, n):

@@ -17,8 +17,7 @@ from hopfkit import (
     monomial_vf_from_bundle,
     nonsingularity_check,
     singular_locus_monomial,
-    solve_oneform_sections,
-    solve_tangent_sections,
+    solve_sections,
     witness_classical_vf,
 )
 from tests.conftest import minimal_hitting_sets_oracle
@@ -117,7 +116,7 @@ def test_witnesses_are_actual_sections():
     ]
     for ms in structures:
         for entry in admissible_tangent_bundles(ms, max_degree=2):
-            allowed = set(solve_tangent_sections(ms, entry.bundle))
+            allowed = set(solve_sections(SectionSpace.TANGENT, ms, entry.bundle))
             field = entry.representative
             for k, poly in enumerate(field.components, start=1):
                 for exps, _ in poly.terms():
@@ -125,7 +124,7 @@ def test_witnesses_are_actual_sections():
             assert dim_h0(SectionSpace.TANGENT, ms, entry.bundle) > 0
             assert predicate_existence(Predicate.TANGENT, ms, entry.bundle.inverse())
         for entry in admissible_conormal_bundles(ms, max_degree=2):
-            allowed = set(solve_oneform_sections(ms, entry.bundle))
+            allowed = set(solve_sections(SectionSpace.ONE_FORM, ms, entry.bundle))
             for indices, poly in entry.representative.terms():
                 for exps, _ in poly.terms():
                     assert (indices[0], exps) in allowed

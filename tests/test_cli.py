@@ -1,10 +1,12 @@
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
-from hopfkit.cli import main, render_json, render_text, run_command
+import hopfkit.sections
+from hopfkit.cli import COMMANDS, main, render_json, render_text, run_command
 
 GROUPS_GENERIC3 = [[1], [2], [3]]
 
@@ -62,6 +64,21 @@ def test_dim_json(tmp_path, capsys):
     assert report["results"]["dimension"] == 18
     assert report["results"]["bundle"]["display"] == "mu^-1"
     assert report["structure"]["kind"] == "classical"
+
+
+def test_dim_does_not_enumerate(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dim must not enumerate the basis")
+
+    monkeypatch.setattr(hopfkit.sections, "_alphas_with_class", refuse)
+    config = write_config(tmp_path, {"bundle": {"type": "monomial",
+                                                "exponents": [-1000000, 0, 0]}})
+    code, out, _ = invoke(
+        ["dim", "--n", "3", "--groups", "[[1,2,3]]", "--config", config, "--json"], capsys
+    )
+    assert code == 0
+    # n monomials of degree 10^6 + 1 in 3 variables, one per component
+    assert json.loads(out)["results"]["dimension"] == 3 * math.comb(1000000 + 3, 2)
 
 
 def test_classify_reports(tmp_path, capsys):
@@ -317,3 +334,42 @@ def test_console_script_subprocess():
 def test_run_command_unknown():
     with pytest.raises(ValueError):
         run_command("frobnicate", {})
+
+
+# one invocation per registry command that passes every flag the command has
+REGISTRY_ARGV = {
+    "sections": ["--n", "3", "--groups", "[[1,2,3]]", "--space", "one-form"],
+    "dim": ["--n", "3", "--groups", "[[1],[2,3]]", "--space", "top-minus-one-form"],
+    "classify": ["--n", "3", "--groups", "[[1],[2],[3]]", "--side", "conormal",
+                 "--max-degree", "1", "--strict"],
+    "integrability": ["--n", "3"],
+    "brunella": ["--n", "3"],
+    "leafcount": ["--n", "3", "--m", "2"],
+    "hodge": ["--n", "3"],
+    "singlocus": ["--n", "3"],
+    "obstruction": ["--n", "3", "--groups", "[[1,2,3]]"],
+}
+REGISTRY_CONFIG = {
+    "bundle": {"type": "monomial", "exponents": [2, 0, 0]},
+    "form": {"degree": 1, "terms": [
+        {"indices": [1], "coefficient": [{"exponents": [0, 1, 0], "coeff": "1"}]},
+        {"indices": [2], "coefficient": [{"exponents": [1, 0, 0], "coeff": "-1"}]},
+    ]},
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_every_registry_command_runs(command, fmt, tmp_path, capsys):
+    config = dict(REGISTRY_CONFIG)
+    if command in ("singlocus", "obstruction"):
+        config = {"form": REGISTRY_CONFIG["form"]}
+    path = write_config(tmp_path, config)
+    code, out, err = invoke(
+        [command, *REGISTRY_ARGV[command], "--config", path, f"--{fmt}"], capsys
+    )
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        assert json.loads(out)["command"] == command
+    else:
+        assert out.startswith(f"command: {command}\n")

@@ -1,6 +1,6 @@
 import pytest
 
-from hopfkit import BundleParam, MultiplierStructure, StructureKind, structure_kind
+from hopfkit import BundleParam, MultiplierStructure, StructureKind
 
 
 def test_kind_detection():
@@ -11,7 +11,7 @@ def test_kind_detection():
     # two non-trivial groups, and also a full-size block with a companion
     assert MultiplierStructure(4, ((1, 2), (3, 4))).kind is StructureKind.GENERAL
     assert MultiplierStructure(5, ((1, 2), (3, 4), (5,))).kind is StructureKind.GENERAL
-    assert structure_kind(MultiplierStructure.classical(2)) is StructureKind.CLASSICAL
+    assert MultiplierStructure.classical(2).kind is StructureKind.CLASSICAL
 
 
 def test_partition_validation():
