@@ -361,10 +361,7 @@ REGISTRY_CONFIG = {
 @pytest.mark.parametrize("fmt", ["json", "text"])
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_every_registry_command_runs(command, fmt, tmp_path, capsys):
-    config = dict(REGISTRY_CONFIG)
-    if command in ("singlocus", "obstruction"):
-        config = {"form": REGISTRY_CONFIG["form"]}
-    path = write_config(tmp_path, config)
+    path = write_config(tmp_path, REGISTRY_CONFIG)
     code, out, err = invoke(
         [command, *REGISTRY_ARGV[command], "--config", path, f"--{fmt}"], capsys
     )
