@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .polynomials import Polynomial, VectorField, _SCALARS
+from .polynomials import Polynomial, VectorField, _SCALARS, _int_tuple, _sum_of_products
 from .rationals import as_gaussian
 
 
@@ -27,13 +27,15 @@ class DifferentialForm:
     def __init__(self, n: int, degree: int, terms=None):
         if n < 1:
             raise ValueError("a form needs at least one variable")
+        if type(degree) is not int:
+            raise ValueError(f"form degree must be an integer, got {degree!r}")
         if degree < 1:
             raise ValueError("degree-0 forms are represented by bare polynomials")
         self.n = n
         self.degree = degree
         cleaned = {}
         for indices, poly in dict(terms or {}).items():
-            idx = tuple(int(i) for i in indices)
+            idx = _int_tuple(indices, "form indices")
             if len(idx) != degree:
                 raise ValueError(f"index tuple {idx} has length {len(idx)}, expected {degree}")
             if any(not 1 <= i <= n for i in idx):
@@ -175,17 +177,18 @@ class DifferentialForm:
     def from_json(cls, n: int, data) -> "DifferentialForm":
         if not isinstance(data, dict) or "degree" not in data or "terms" not in data:
             raise ValueError('form payload must be {"degree": p, "terms": [...]}')
-        degree = int(data["degree"])
+        if not isinstance(data["terms"], list):
+            raise ValueError(f"form terms must be a list, got {data['terms']!r}")
         terms = {}
         for entry in data["terms"]:
             if not isinstance(entry, dict) or "indices" not in entry or "coefficient" not in entry:
                 raise ValueError(f"malformed form term {entry!r}")
-            idx = tuple(int(i) for i in entry["indices"])
+            idx = _int_tuple(entry["indices"], "form indices")
             poly = Polynomial.from_json(n, entry["coefficient"])
             if idx in terms:
                 poly = terms[idx] + poly
             terms[idx] = poly
-        return cls(n, degree, terms)
+        return cls(n, data["degree"], terms)
 
 
 def _merge_indices(left: tuple[int, ...], right: tuple[int, ...]):
@@ -220,23 +223,24 @@ def wedge(left, right):
         return left * right
     if left.n != right.n:
         raise ValueError("ambient dimension mismatch in wedge product")
-    degree = left.degree + right.degree
-    acc: dict = {}
+    products: dict = {}
     for idx_l, poly_l in left._terms.items():
         for idx_r, poly_r in right._terms.items():
             merged = _merge_indices(idx_l, idx_r)
-            if merged is None:
-                continue
-            sign, idx = merged
-            term = poly_l * poly_r
-            if sign < 0:
-                term = -term
-            s = acc.get(idx, Polynomial.zero(left.n)) + term
-            if s.is_zero():
-                acc.pop(idx, None)
-            else:
-                acc[idx] = s
-    return DifferentialForm._raw(left.n, degree, acc)
+            if merged is not None:
+                sign, idx = merged
+                products.setdefault(idx, []).append((sign, poly_l, poly_r))
+    return _form_of_sums(left.n, left.degree + right.degree, products)
+
+
+def _form_of_sums(n: int, degree: int, products: dict) -> DifferentialForm:
+    """The form whose coefficient at each index tuple is that tuple's sum of products."""
+    acc = {}
+    for idx, pairs in products.items():
+        poly = _sum_of_products(n, pairs)
+        if poly:
+            acc[idx] = poly
+    return DifferentialForm._raw(n, degree, acc)
 
 
 def exterior_derivative(obj):
@@ -275,26 +279,17 @@ def interior_product(field: VectorField, omega: DifferentialForm):
     if field.n != omega.n:
         raise ValueError("ambient dimension mismatch in interior product")
     if omega.degree == 1:
-        total = Polynomial.zero(omega.n)
-        for (i,), poly in omega._terms.items():
-            total = total + poly * field.components[i - 1]
-        return total
-    acc: dict = {}
+        return _sum_of_products(
+            omega.n,
+            [(1, poly, field.components[i - 1]) for (i,), poly in omega._terms.items()],
+        )
+    products: dict = {}
     for idx, poly in omega._terms.items():
         for position, i in enumerate(idx):
-            comp = field.components[i - 1]
-            if comp.is_zero():
-                continue
-            term = poly * comp
-            if position % 2:
-                term = -term
             new_idx = idx[:position] + idx[position + 1:]
-            s = acc.get(new_idx, Polynomial.zero(omega.n)) + term
-            if s.is_zero():
-                acc.pop(new_idx, None)
-            else:
-                acc[new_idx] = s
-    return DifferentialForm._raw(omega.n, omega.degree - 1, acc)
+            sign = -1 if position % 2 else 1
+            products.setdefault(new_idx, []).append((sign, poly, field.components[i - 1]))
+    return _form_of_sums(omega.n, omega.degree - 1, products)
 
 
 def radial_field(n: int) -> VectorField:

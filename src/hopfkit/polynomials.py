@@ -3,12 +3,19 @@
 A polynomial on C^n is a finite map from exponent vectors in N^n to nonzero
 coefficients.  Arithmetic is exact, and the canonical term order (graded
 lexicographic) makes printing and serialization deterministic.
+
+Products (of polynomials, and the wedge and interior products of forms built
+on them) are computed in Gaussian integers over a common denominator, with
+each exponent vector packed into one int, and are converted back to
+Gaussian-rational coefficients once per result term.  No step rounds: every
+result stays exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .rationals import GaussianRational, as_gaussian
 
@@ -26,7 +33,7 @@ class Polynomial:
         self.n = n
         cleaned = {}
         for exps, coeff in dict(terms or {}).items():
-            e = tuple(int(v) for v in exps)
+            e = _int_tuple(exps, "exponents")
             if len(e) != n:
                 raise ValueError(f"exponent vector {e} has length {len(e)}, expected {n}")
             if any(v < 0 for v in e):
@@ -125,16 +132,7 @@ class Polynomial:
         if isinstance(other, Polynomial):
             if other.n != self.n:
                 raise ValueError("ambient dimension mismatch in product")
-            acc = {}
-            for e1, c1 in self._terms.items():
-                for e2, c2 in other._terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    s = acc.get(e, GaussianRational(0)) + c1 * c2
-                    if s:
-                        acc[e] = s
-                    elif e in acc:
-                        del acc[e]
-            return Polynomial._raw(self.n, acc)
+            return _sum_of_products(self.n, [(1, self, other)])
         if isinstance(other, _SCALARS):
             c = as_gaussian(other)
             if not c:
@@ -241,10 +239,24 @@ class Polynomial:
         for entry in data:
             if not isinstance(entry, dict) or "exponents" not in entry or "coeff" not in entry:
                 raise ValueError(f"malformed polynomial term {entry!r}")
-            e = tuple(int(v) for v in entry["exponents"])
+            e = _int_tuple(entry["exponents"], "exponents")
             c = as_gaussian(entry["coeff"])
             terms[e] = terms.get(e, GaussianRational(0)) + c
         return cls(n, terms)
+
+
+def _int_tuple(values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints.
+
+    Only a list or tuple of exact ints is accepted: ``int()`` would truncate
+    floats and parse strings, and a bool is not a count.
+    """
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{what} must be a list of integers, got {values!r}")
+    for v in values:
+        if type(v) is not int:
+            raise ValueError(f"{what} must be integers, got {v!r} in {list(values)!r}")
+    return tuple(values)
 
 
 def format_monomial(exponents) -> str:
@@ -268,6 +280,60 @@ def _format_term(exponents, coeff) -> str:
         return f"-{variables}"
     head = f"({text})" if composite else text
     return f"{head}*{variables}"
+
+
+def _sum_of_products(n: int, pairs) -> Polynomial:
+    """The polynomial sum of sign * p * q over ``(sign, p, q)`` triples.
+
+    Exponent vectors are packed into one int with fields wide enough for the
+    largest per-variable exponent sum, so adding two packed vectors
+    multiplies the monomials without a carry between fields.  Real and
+    imaginary parts are summed as ints over the common denominator ``D``,
+    and each nonzero result term becomes one GaussianRational.
+    """
+    pairs = [(sign, p, q) for sign, p, q in pairs if p._terms and q._terms]
+    if not pairs:
+        return Polynomial.zero(n)
+    operands = {id(poly): poly for _, p, q in pairs for poly in (p, q)}
+    highest = {key: [max(column) for column in zip(*poly._terms)] for key, poly in operands.items()}
+    top = max(a + b for _, p, q in pairs for a, b in zip(highest[id(p)], highest[id(q)]))
+    width = top.bit_length()
+    shifts = [width * i for i in range(n)]
+    packed = {key: _packed(poly, shifts) for key, poly in operands.items()}
+    D = lcm(*(packed[id(p)][0] * packed[id(q)][0] for _, p, q in pairs))
+    real: dict[int, int] = {}
+    imag: dict[int, int] = {}
+    for sign, p, q in pairs:
+        (dp, left), (dq, right) = packed[id(p)], packed[id(q)]
+        k = sign * (D // (dp * dq))
+        for m1, a1, b1 in left:
+            a1, b1 = k * a1, k * b1
+            for m2, a2, b2 in right:
+                m = m1 + m2
+                real[m] = real.get(m, 0) + a1 * a2 - b1 * b2
+                imag[m] = imag.get(m, 0) + a1 * b2 + b1 * a2
+    mask = (1 << width) - 1
+    terms = {}
+    for m, x in real.items():
+        y = imag[m]
+        if x or y:
+            e = tuple((m >> s) & mask for s in shifts)
+            terms[e] = GaussianRational(Fraction(x, D), Fraction(y, D))
+    return Polynomial._raw(n, terms)
+
+
+def _packed(poly: Polynomial, shifts) -> tuple[int, list[tuple[int, int, int]]]:
+    """``(d, [(packed exponents, d * re, d * im), ...])``, d the lcm of the denominators."""
+    coeffs = poly._terms.values()
+    d = lcm(*(c.re.denominator for c in coeffs), *(c.im.denominator for c in coeffs))
+    return d, [
+        (
+            sum(v << s for v, s in zip(e, shifts)),
+            c.re.numerator * (d // c.re.denominator),
+            c.im.numerator * (d // c.im.denominator),
+        )
+        for e, c in poly._terms.items()
+    ]
 
 
 @dataclass(frozen=True)
@@ -316,6 +382,8 @@ class VectorField:
         if not isinstance(data, dict) or "components" not in data:
             raise ValueError('vector field payload must be {"components": [...]}')
         comps = data["components"]
+        if not isinstance(comps, list):
+            raise ValueError(f"vector field components must be a list, got {comps!r}")
         if len(comps) != n:
             raise ValueError(f"expected {n} components, got {len(comps)}")
         return cls(tuple(Polynomial.from_json(n, c) for c in comps))

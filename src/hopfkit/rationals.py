@@ -22,8 +22,9 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        # Fractions are immutable, so an exact Fraction is kept, not copied.
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     @classmethod
     def parse(cls, text) -> "GaussianRational":
@@ -72,6 +73,9 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
+        # Equal values hash equally: a real value hashes like the int or Fraction it equals.
+        if not self.im:
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def __add__(self, other):

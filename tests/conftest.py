@@ -5,6 +5,10 @@ enumeration and its target keys: they read each component's target off the
 defining monomial identity, walk a covering exponent box and compare group
 sums directly, so solver bugs cannot cancel out.  ``predicate_oracle`` keeps
 the paper's per-kind closed forms for the positivity predicates.
+
+The ``naive_*`` products multiply term by term in Fraction pairs (real and
+imaginary part) on unpacked exponent tuples, and find wedge signs by counting
+inversions, so they share no code with the library's product kernel.
 """
 
 from fractions import Fraction
@@ -120,6 +124,69 @@ def predicate_oracle(predicate, ms, param):
     if block >= r - 1 and all(v >= 1 for v in singles):
         return True
     return block >= r and _all_but_one(singles, 0, 1)
+
+
+def term_pairs(poly):
+    """A polynomial as {exponents: (re, im)} with Fraction parts."""
+    return {e: (c.re, c.im) for e, c in poly.terms()}
+
+
+def form_term_pairs(obj):
+    """A form as {indices: term_pairs(coefficient)}; a polynomial sits at ()."""
+    if isinstance(obj, Polynomial):
+        return {(): term_pairs(obj)} if obj else {}
+    return {idx: term_pairs(poly) for idx, poly in obj.terms()}
+
+
+def naive_sum_of_products(triples):
+    """Sum of sign * p * q over (sign, p, q) in term_pairs form, one term pair at a time."""
+    acc = {}
+    for sign, p, q in triples:
+        for e1, (a, b) in p.items():
+            for e2, (c, d) in q.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                re, im = acc.get(e, (Fraction(0), Fraction(0)))
+                acc[e] = (re + sign * (a * c - b * d), im + sign * (a * d + b * c))
+    return {e: v for e, v in acc.items() if v[0] or v[1]}
+
+
+def naive_product(p, q):
+    return naive_sum_of_products([(1, term_pairs(p), term_pairs(q))])
+
+
+def _collect(groups):
+    sums = {idx: naive_sum_of_products(triples) for idx, triples in groups.items()}
+    return {idx: s for idx, s in sums.items() if s}
+
+
+def naive_wedge(alpha, beta):
+    """alpha ^ beta: dz_I ^ dz_J is the sign of the sorting permutation of I + J."""
+    groups = {}
+    for left, f in alpha.terms():
+        for right, g in beta.terms():
+            joined = left + right
+            if len(set(joined)) < len(joined):
+                continue
+            inversions = sum(
+                joined[x] > joined[y]
+                for x in range(len(joined))
+                for y in range(x + 1, len(joined))
+            )
+            groups.setdefault(tuple(sorted(joined)), []).append(
+                ((-1) ** inversions, term_pairs(f), term_pairs(g))
+            )
+    return _collect(groups)
+
+
+def naive_interior(field, omega):
+    """i_v(dz_I) = sum over positions k of (-1)^k v_(I_k) dz_(I without I_k)."""
+    groups = {}
+    for idx, f in omega.terms():
+        for k, i in enumerate(idx):
+            groups.setdefault(idx[:k] + idx[k + 1:], []).append(
+                ((-1) ** k, term_pairs(f), term_pairs(field.components[i - 1]))
+            )
+    return _collect(groups)
 
 
 def minimal_hitting_sets_oracle(supports, n):

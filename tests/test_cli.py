@@ -129,6 +129,30 @@ def test_missing_file(capsys):
     assert code == 2
 
 
+def _form_term(indices=(1,), exponents=(1, 0, 0)):
+    return {"indices": indices, "coefficient": [{"exponents": exponents, "coeff": "1"}]}
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    ("integrability", {"form": {"degree": 1, "terms": [_form_term(exponents=[1.7, 0, 0])]}},
+     "exponents must be integers"),
+    ("integrability", {"form": {"degree": 1, "terms": [_form_term(exponents=None)]}},
+     "exponents must be a list"),
+    ("integrability", {"form": {"degree": 1, "terms": [_form_term(indices=[1.9])]}},
+     "form indices must be integers"),
+    ("integrability", {"form": {"degree": "1", "terms": [_form_term()]}},
+     "form degree must be an integer"),
+    ("integrability", {"form": {"degree": 1, "terms": 5}}, "form terms must be a list"),
+    ("singlocus", {"vector_field": {"components": 5}}, "components must be a list"),
+], ids=["float exponent", "null exponents", "float index", "string degree", "int terms",
+        "int components"])
+def test_malformed_payloads_rejected(command, payload, message, tmp_path, capsys):
+    config = write_config(tmp_path, {"n": 3, **payload})
+    code, out, err = invoke([command, "--config", config], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and message in err
+
+
 def test_integrability_and_brunella(tmp_path, capsys):
     form_terms = [
         {"indices": [1], "coefficient": [{"exponents": [0, 2, 0], "coeff": "1"}]},

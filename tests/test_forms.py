@@ -26,6 +26,16 @@ def test_term_validation():
         DifferentialForm(3, 2, {(1,): Polynomial.constant(3, 1)})  # wrong length
     with pytest.raises(ValueError):
         DifferentialForm(3, 1, {(4,): Polynomial.constant(3, 1)})  # out of range
+    for bad in (1.9, True, "1"):  # indices and degrees are exact ints
+        with pytest.raises(ValueError):
+            DifferentialForm(3, 1, {(bad,): Polynomial.constant(3, 1)})
+        with pytest.raises(ValueError):
+            DifferentialForm(3, bad, {})
+    for bad in ({"degree": 1, "terms": 5},
+                {"degree": 1.0, "terms": []},
+                {"degree": 1, "terms": [{"indices": 1, "coefficient": []}]}):
+        with pytest.raises(ValueError):
+            DifferentialForm.from_json(3, bad)
     assert DifferentialForm.zero(3, 5).is_zero()  # degree above n only as zero
 
 

@@ -22,6 +22,12 @@ def test_constructor_validation():
         Polynomial(2, {(-1, 0): 1})
     with pytest.raises(ValueError):
         Polynomial(2, {(0, 0): 0.5})  # floats never enter
+    for bad in (1.0, True, "1"):  # exponents are exact ints, never truncated or parsed
+        with pytest.raises(ValueError):
+            Polynomial(2, {(bad, 0): 1})
+    for bad in ([1.7, 0], None, 5, [[1], 0]):
+        with pytest.raises(ValueError):
+            Polynomial.from_json(2, [{"exponents": bad, "coeff": "1"}])
     assert Polynomial(2, {(1, 0): 0}).is_zero()
 
 
@@ -107,6 +113,8 @@ def test_json_roundtrip():
 def test_vector_field_validation():
     with pytest.raises(ValueError):
         VectorField((Polynomial.zero(2), Polynomial.zero(3)))
+    with pytest.raises(ValueError):
+        VectorField.from_json(2, {"components": 5})
     with pytest.raises(ValueError):
         VectorField(())
     v = VectorField((Polynomial.variable(2, 1), Polynomial.zero(2)))

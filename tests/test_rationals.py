@@ -61,6 +61,15 @@ def test_field_inverse(a):
             GaussianRational(1) / a
 
 
+@given(st.one_of(st.integers(), st.fractions()))
+@settings(max_examples=60)
+def test_hash_agrees_with_equality(x):
+    g = GaussianRational(x)
+    assert g == x and hash(g) == hash(x)
+    assert len({x, g}) == 1
+    assert {x: "a"}.get(g) == "a"
+
+
 def test_power():
     i = GaussianRational(0, 1)
     assert i ** 2 == -1
